@@ -320,22 +320,18 @@ SimResult RunApplicationMemo(const Application& app, const GpuConfig& cfg,
   const bool exact = SelectionFor(level).mem == MemModelKind::kAnalytical;
   MemoKey key;
   key.cfg_hash = cfg.CanonicalHash();
-  key.context = FingerprintApplication(app).Fold();
+  const std::vector<Fingerprint> launch_fp = FingerprintLaunches(app);
+  key.context = FingerprintApplication(launch_fp).Fold();
   key.level = static_cast<std::uint8_t>(level);
-
-  // Repeated launches share the KernelTrace object; fingerprint each
-  // distinct object once.
-  std::map<const KernelTrace*, Fingerprint> fp_of;
 
   SimResult result;
   result.app = app.name;
   result.kernels.reserve(app.kernels.size());
   std::map<std::string, std::uint64_t> replayed_deltas;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& kernel : app.kernels) {
-    const auto [fit, inserted] = fp_of.emplace(kernel.get(), Fingerprint{});
-    if (inserted) fit->second = FingerprintKernel(*kernel);
-    key.kernel_fp = fit->second;
+  for (std::size_t k = 0; k < app.kernels.size(); ++k) {
+    const auto& kernel = app.kernels[k];
+    key.kernel_fp = launch_fp[k];
 
     if (auto rec = cache.TryReplay(key)) {
       model.SyncClock(model.now() + rec->cycles);

@@ -60,9 +60,12 @@ SimResult RunParallelDetailed(const Application& app, const GpuConfig& cfg,
   }
   MemoKey memo_key;
   memo_key.cfg_hash = cfg.CanonicalHash();
-  memo_key.context = FingerprintApplication(app).Fold();
   memo_key.level = static_cast<std::uint8_t>(level);
-  std::map<const KernelTrace*, Fingerprint> fp_of;
+  std::vector<Fingerprint> launch_fp;
+  if (memo_on) {
+    launch_fp = FingerprintLaunches(app);
+    memo_key.context = FingerprintApplication(launch_fp).Fold();
+  }
   std::map<std::string, std::uint64_t> launch_before;
   std::map<std::string, std::uint64_t> replayed_deltas;
 
@@ -119,10 +122,7 @@ SimResult RunParallelDetailed(const Application& app, const GpuConfig& cfg,
     while (kidx < app.kernels.size()) {
       const KernelTrace& kernel = *app.kernels[kidx];
       if (memo_on) {
-        const auto [fit, inserted] =
-            fp_of.emplace(&kernel, Fingerprint{});
-        if (inserted) fit->second = FingerprintKernel(kernel);
-        memo_key.kernel_fp = fit->second;
+        memo_key.kernel_fp = launch_fp[kidx];
         if (auto rec = memo_cache.TryReplay(memo_key)) {
           // Converged launch: advance the clock past it without touching
           // the model, exactly as the serial memo driver does.

@@ -1,6 +1,7 @@
 #include "trace/fingerprint.h"
 
 #include <cstdio>
+#include <unordered_map>
 
 #include "common/bitutil.h"
 
@@ -92,11 +93,26 @@ Fingerprint FingerprintKernel(const KernelTrace& kernel) {
   return h.Digest();
 }
 
-Fingerprint FingerprintApplication(const Application& app) {
-  FpHasher h;
-  h.Mix(app.kernels.size());
+std::vector<Fingerprint> FingerprintLaunches(const Application& app) {
+  std::unordered_map<const KernelTrace*, Fingerprint> fp_of;
+  std::vector<Fingerprint> launches;
+  launches.reserve(app.kernels.size());
   for (const auto& kernel : app.kernels) {
-    const Fingerprint fp = FingerprintKernel(*kernel);
+    const auto [it, inserted] = fp_of.try_emplace(kernel.get());
+    if (inserted) it->second = FingerprintKernel(*kernel);
+    launches.push_back(it->second);
+  }
+  return launches;
+}
+
+Fingerprint FingerprintApplication(const Application& app) {
+  return FingerprintApplication(FingerprintLaunches(app));
+}
+
+Fingerprint FingerprintApplication(const std::vector<Fingerprint>& launches) {
+  FpHasher h;
+  h.Mix(launches.size());
+  for (const Fingerprint& fp : launches) {
     h.Mix(fp.hi);
     h.Mix(fp.lo);
   }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/kernel.h"
 
@@ -56,9 +57,20 @@ class FpHasher {
 /// Cost is proportional to the variant storage, not the grid size.
 Fingerprint FingerprintKernel(const KernelTrace& kernel);
 
+/// Kernel fingerprint of every launch of an application, in launch order.
+/// Launches that share one KernelTrace object (RepeatLaunches) are
+/// fingerprinted once, so cost is proportional to the distinct kernel
+/// objects, not to the number of launches.
+std::vector<Fingerprint> FingerprintLaunches(const Application& app);
+
 /// Fingerprint of a whole application: the kernel fingerprints chained in
 /// launch order. Deliberately excludes the display name, so two apps with
-/// identical launch sequences share pre-pass profile cache entries.
+/// identical launch sequences share pre-pass profile cache entries. Costs
+/// one FingerprintLaunches.
 Fingerprint FingerprintApplication(const Application& app);
+
+/// The same digest from the application's FingerprintLaunches, for callers
+/// that also key on the per-launch fingerprints.
+Fingerprint FingerprintApplication(const std::vector<Fingerprint>& launches);
 
 }  // namespace swiftsim

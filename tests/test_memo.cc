@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "config/presets.h"
@@ -104,6 +105,29 @@ TEST(Fingerprint, DistinguishesKernelsAndApps) {
   EXPECT_NE(FingerprintApplication(bfs), FingerprintApplication(pr));
   EXPECT_NE(FingerprintKernel(*bfs.kernels.front()),
             FingerprintKernel(*pr.kernels.front()));
+}
+
+TEST(Fingerprint, RepeatedLaunchesChainEveryLaunch) {
+  // Launches that share a KernelTrace object are fingerprinted once; the
+  // per-launch fingerprints and the digest must still be the header's
+  // definition, the kernel fingerprints chained in launch order, so memo,
+  // profile and persisted keys never depend on that sharing.
+  const Application app = SmallApp("BFS");
+  const Application repeated = RepeatLaunches(app, 8);
+  ASSERT_EQ(repeated.kernels.size(), app.kernels.size() * 8);
+  const std::vector<Fingerprint> launches = FingerprintLaunches(repeated);
+  ASSERT_EQ(launches.size(), repeated.kernels.size());
+  FpHasher h;
+  h.Mix(repeated.kernels.size());
+  for (std::size_t k = 0; k < repeated.kernels.size(); ++k) {
+    const Fingerprint fp = FingerprintKernel(*repeated.kernels[k]);
+    EXPECT_EQ(launches[k], fp) << "launch " << k;
+    h.Mix(fp.hi);
+    h.Mix(fp.lo);
+  }
+  EXPECT_EQ(FingerprintApplication(repeated), h.Digest());
+  EXPECT_EQ(FingerprintApplication(launches), h.Digest());
+  EXPECT_NE(FingerprintApplication(repeated), FingerprintApplication(app));
 }
 
 /// Two-instruction probe kernel; `addr_perturb` shifts one lane address,
