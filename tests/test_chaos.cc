@@ -82,11 +82,15 @@ void ExpectSameRun(const SimResult& a, const SimResult& b,
   }
 }
 
+// gtest prints a parameter it cannot format as its raw bytes, and CTest
+// discovery copies that text into each case's test name. The flags lead so
+// the name starts with fixed bytes rather than the low bits of `label`'s
+// address, which address-space randomisation redraws at every discovery.
 struct PlanCase {
-  const char* label;
-  FaultPlan plan;
   bool expect_delays = false;
   bool expect_drops = false;
+  const char* label;
+  FaultPlan plan;
 };
 
 std::vector<PlanCase> SurvivablePlans() {
