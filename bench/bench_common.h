@@ -55,10 +55,14 @@ struct BenchFlag {
   std::function<void(const std::string& value)> handler;
 };
 
+/// Exit status of a bench given an unknown or malformed flag.
+constexpr int kUsageExit = 2;
+
 /// Parses --scale/--sweep/--apps/--threads/--seed/--json/--no-skip/
 /// --no-memo/--memo-file/--watchdog-cycles/--timeout-sec/--fault-plan/
-/// --degrade-on-hang/--dump-dir plus any `extra` bench-specific flags;
-/// throws SimError on unknown or malformed flags.
+/// --degrade-on-hang/--dump-dir plus any `extra` bench-specific flags.
+/// `--help` prints the usage and exits 0; an unknown or malformed flag
+/// prints the error and the usage to stderr and exits kUsageExit.
 BenchOptions ParseOptions(int argc, char** argv, double default_scale);
 BenchOptions ParseOptions(int argc, char** argv, double default_scale,
                           const std::vector<BenchFlag>& extra);
@@ -183,11 +187,13 @@ LatencySummary Summarize(const std::vector<double>& seconds);
 void AppendLatencyFields(const std::string& prefix, const LatencySummary& s,
                          std::vector<std::pair<std::string, double>>* extra);
 
-/// Writes `{"bench":..., "git":..., "scale":..., "runs":[...]}` to `path`,
-/// creating parent directories as needed. `git` is `git describe
-/// --always --dirty` ("unknown" outside a repo). The `extra` overload
-/// additionally emits each (name, value) pair as a top-level numeric
-/// field — throughput and latency summaries ride next to the runs.
+/// Writes `{"bench":..., "git":..., "host":{...}, "scale":..., "runs":[...]}`
+/// to `path`, creating parent directories as needed. `git` is `git describe
+/// --always --dirty` ("unknown" outside a repo); `host` stamps hardware
+/// threads, CPU model, build type, compiler, git SHA and a dirty flag.
+/// The `extra` overload additionally emits each (name, value) pair as a
+/// top-level numeric field — throughput and latency summaries ride next
+/// to the runs.
 void WriteRunsJson(const std::string& path, const std::string& bench,
                    const BenchOptions& opt, const std::vector<JsonRun>& runs);
 void WriteRunsJson(const std::string& path, const std::string& bench,

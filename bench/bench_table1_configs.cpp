@@ -6,8 +6,10 @@
 #include "common/status.h"
 #include "config/presets.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace swiftsim;
+  // No knobs; the shared parser still answers --help and rejects flags.
+  (void)bench::ParseOptions(argc, argv, /*default_scale=*/1.0);
   std::printf("==== Table I: comparison of three NVIDIA GPUs ====\n");
   const GpuConfig gpus[] = {Rtx2080TiConfig(), Rtx3060Config(),
                             Rtx3090Config()};

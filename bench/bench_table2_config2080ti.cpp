@@ -6,8 +6,10 @@
 #include "common/status.h"
 #include "config/presets.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace swiftsim;
+  // No knobs; the shared parser still answers --help and rejects flags.
+  (void)bench::ParseOptions(argc, argv, /*default_scale=*/1.0);
   const GpuConfig c = Rtx2080TiConfig();
   std::printf("==== Table II: NVIDIA RTX 2080 Ti GPU configuration ====\n");
   std::printf("%-24s %u\n", "# SMs", c.num_sms);

@@ -155,13 +155,13 @@ struct MemoConfig {
 enum class ParallelMode {
   kAuto,   // app-parallel when apps >= threads, else a capped mix
   kApp,    // one serial simulator per app (historical behavior)
-  kIntra,  // apps sequential, each on the intra-app task-graph driver
+  kIntra,  // apps sequential, each on the intra-app parallel driver
 };
 
 std::string ToString(ParallelMode m);
 ParallelMode ParallelModeFromString(const std::string& s);
 
-/// Knobs for the task-graph parallel driver and the two-mode batch policy
+/// Knobs for the intra-app parallel driver and the two-mode batch policy
 /// (DESIGN.md §12).
 struct ParallelConfig {
   ParallelMode mode = ParallelMode::kAuto;

@@ -99,6 +99,9 @@ class GpuModel {
   /// Greedy CTA dispatch over all SMs; single-threaded (coordinator only).
   unsigned AssignPendingCtas() { return scheduler_.AssignPending(sms_); }
 
+  /// True once every CTA of the current kernel has been dispatched.
+  bool AllCtasLaunched() const { return scheduler_.AllLaunched(); }
+
   /// Advances SMs [first, last) by one cycle: delivers pending NoC
   /// responses, ticks each active SM, and drains its L1 miss queue into
   /// the SM's memory port (stamped with `now`). Returns true if any SM

@@ -96,6 +96,16 @@ void MemoCache::RecordLaunch(const MemoKey& key, LaunchRecord rec,
 
 void MemoCache::SetLimits(std::uint64_t max_entries, std::uint64_t max_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
+  limits_owned_ = true;
+  max_entries_ = max_entries;
+  max_bytes_ = max_bytes;
+  EnforceLimitsLocked();
+}
+
+void MemoCache::ApplyConfigLimits(std::uint64_t max_entries,
+                                  std::uint64_t max_bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (limits_owned_) return;
   max_entries_ = max_entries;
   max_bytes_ = max_bytes;
   EnforceLimitsLocked();
@@ -120,6 +130,9 @@ void MemoCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   total_bytes_ = 0;
+  max_entries_ = 0;
+  max_bytes_ = 0;
+  limits_owned_ = false;
 }
 
 namespace {
@@ -265,6 +278,14 @@ std::uint64_t ProfileCache::evictions() const {
 
 void ProfileCache::SetMaxEntries(std::uint64_t max_entries) {
   std::lock_guard<std::mutex> lock(mu_);
+  limit_owned_ = true;
+  max_entries_ = max_entries;
+  EnforceLimitLocked();
+}
+
+void ProfileCache::ApplyConfigMaxEntries(std::uint64_t max_entries) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (limit_owned_) return;
   max_entries_ = max_entries;
   EnforceLimitLocked();
 }
@@ -285,6 +306,8 @@ void ProfileCache::Clear() {
   entries_.clear();
   hits_ = 0;
   misses_ = 0;
+  max_entries_ = 0;
+  limit_owned_ = false;
 }
 
 ProfileCache& ProfileCache::Global() {
@@ -300,7 +323,7 @@ bool MemoReplayApplicable(const GpuConfig& cfg, SimLevel level) {
 SimResult RunApplicationMemo(const Application& app, const GpuConfig& cfg,
                              SimLevel level, const MemProfile* profile,
                              MemoCache& cache) {
-  cache.SetLimits(cfg.memo.max_entries, cfg.memo.max_bytes);
+  cache.ApplyConfigLimits(cfg.memo.max_entries, cfg.memo.max_bytes);
   const std::uint64_t evictions_before = cache.evictions();
   GpuModel model(cfg, SelectionFor(level), profile);
 

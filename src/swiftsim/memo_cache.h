@@ -87,11 +87,18 @@ class MemoCache {
   /// least-replayed first (ties: least recently used) — an entry that
   /// replays often keeps paying for its slot, a recorded-but-never-hit
   /// entry is the first to go. Applies immediately to current contents.
+  /// This is the owner's call (a daemon's --memo-max-entries): once made,
+  /// ApplyConfigLimits no longer changes the caps, until Clear.
   void SetLimits(std::uint64_t max_entries, std::uint64_t max_bytes);
+
+  /// A run's config caps; ignored once an owner has called SetLimits, so
+  /// no job's config replaces the process-wide limits.
+  void ApplyConfigLimits(std::uint64_t max_entries, std::uint64_t max_bytes);
 
   std::size_t size() const;
   std::uint64_t bytes() const;
   std::uint64_t evictions() const;
+  /// Drops every entry and any owner's caps (back to unbounded).
   void Clear();
 
   /// Versioned plain-text persistence for cross-run reuse (DSE sweeps
@@ -124,6 +131,7 @@ class MemoCache {
   std::map<MemoKey, Entry> entries_;
   std::uint64_t max_entries_ = 0;  // 0 = unbounded
   std::uint64_t max_bytes_ = 0;    // 0 = unbounded
+  bool limits_owned_ = false;      // SetLimits called since the last Clear
   std::uint64_t total_bytes_ = 0;
   std::uint64_t use_clock_ = 0;
   std::uint64_t evictions_ = 0;
@@ -146,12 +154,18 @@ class ProfileCache {
 
   /// Caps the number of cached profiles (0 = unbounded); evicts least
   /// recently used. Shared pointers keep in-use profiles alive regardless.
+  /// Like MemoCache::SetLimits, the owner's call: it pins the cap against
+  /// ApplyConfigMaxEntries until Clear.
   void SetMaxEntries(std::uint64_t max_entries);
+
+  /// A run's config cap; ignored once an owner has called SetMaxEntries.
+  void ApplyConfigMaxEntries(std::uint64_t max_entries);
 
   std::size_t size() const;
   std::uint64_t hits() const;
   std::uint64_t misses() const;
   std::uint64_t evictions() const;
+  /// Drops every profile and any owner's cap (back to unbounded).
   void Clear();
 
   static ProfileCache& Global();
@@ -179,6 +193,7 @@ class ProfileCache {
   mutable std::mutex mu_;
   std::map<Key, Slot> entries_;
   std::uint64_t max_entries_ = 0;  // 0 = unbounded
+  bool limit_owned_ = false;       // SetMaxEntries called since Clear
   std::uint64_t use_clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -32,7 +32,7 @@ BatchPlan PlanParallelBatch(std::size_t num_apps, unsigned num_threads,
       static_cast<unsigned>(std::min<std::size_t>(num_apps, budget));
   if (num_apps == 0) return plan;
   // Intra-app sharding is only a drop-in at cycle-accurate-memory levels
-  // (the task-graph driver is bit-identical to the serial simulator
+  // (the parallel driver is bit-identical to the serial simulator
   // there); analytical-memory levels stay app-parallel.
   if (!cycle_accurate_mem) mode = ParallelMode::kApp;
   const bool auto_mode = mode == ParallelMode::kAuto;
@@ -89,7 +89,7 @@ ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,
   ThreadPool& pool = ThreadPool::Shared();
   if (plan.threads_per_app > 1) {
     // Joiners are spread across lanes; grow the pool once, up front, so
-    // every lane's task-graph workers can actually run concurrently.
+    // every lane's parallel-driver workers can actually run concurrently.
     pool.EnsureWorkers(plan.app_lanes * plan.threads_per_app - 1);
   }
   pool.ParallelFor(apps.size(), plan.app_lanes, [&](std::size_t i) {
@@ -234,7 +234,7 @@ SimResult RunSmParallelMemory(const Application& app, const GpuConfig& cfg,
   // The cold-sharded profile is thread-count independent, so caching it is
   // exact; memo-off runs rebuild from scratch for honest A/B timing.
   if (cfg.memo.enabled) {
-    ProfileCache::Global().SetMaxEntries(cfg.memo.max_entries);
+    ProfileCache::Global().ApplyConfigMaxEntries(cfg.memo.max_entries);
   }
   std::shared_ptr<const MemProfile> profile =
       cfg.memo.enabled

@@ -62,7 +62,7 @@ struct BatchOptions {
 
 /// How a batch shape maps onto the shared thread pool (DESIGN.md §12):
 /// `app_lanes` applications run concurrently, each on `threads_per_app`
-/// task-graph workers. The invariant app_lanes * threads_per_app <=
+/// parallel-driver workers. The invariant app_lanes * threads_per_app <=
 /// max(num_threads, 1) prevents double-partitioning the pool (apps ×
 /// clusters must never oversubscribe the requested worker budget).
 struct BatchPlan {
@@ -72,7 +72,7 @@ struct BatchPlan {
 };
 
 /// Resolves the two-mode policy for a batch shape. `cycle_accurate_mem`
-/// says whether the level shards exactly under the task-graph driver
+/// says whether the level shards exactly under the parallel driver
 /// (analytical-memory levels fall back to app-parallel: their intra-app
 /// runner is a documented approximation, not a drop-in). Decision table in
 /// DESIGN.md §12.
@@ -81,7 +81,7 @@ BatchPlan PlanParallelBatch(std::size_t num_apps, unsigned num_threads,
 
 /// Runs each application through its own simulator concurrently. With
 /// cfg.parallel.mode = auto (default) a batch smaller than the thread
-/// budget spreads the spare threads inside apps via the task-graph driver
+/// budget spreads the spare threads inside apps via the parallel driver
 /// (cycle-accurate-memory levels only; bit-identical to the serial
 /// simulator), capped so apps × per-app workers never exceeds the budget.
 ParallelBatchResult RunAppsParallel(const std::vector<Application>& apps,

@@ -1,24 +1,21 @@
-// Task-graph parallel cycle-accurate simulation (DESIGN.md §12): the SMs
-// of one GpuModel are partitioned into per-worker *clusters* (contention
-// domains — each owns its SMs' L1s, coalescers and SPSC memory ports), and
-// each simulated window becomes one round of a dependency task graph:
+// Parallel cycle-accurate simulation (DESIGN.md §12): one per-cycle
+// stepper drives a GpuModel in rounds of one slack window each:
 //
-//   cluster[0..C) tick span  ──unlock──▶  memory drain  ──▶  coordinator
+//   tick SM clusters  ──▶  drain ports, tick NoC/L2/DRAM  ──▶  coordinator
 //
-// executed by a work-stealing scheduler (common/task_graph.h) instead of a
-// per-window std::barrier. Workers that finish their cluster steal other
-// clusters' work; the last finisher runs the memory drain and the
-// coordinator (clock advance, cycle-skip jumps, kernel transitions, CTA
-// dispatch) inline and re-arms the next round — no futex parking on the
-// per-cycle path, which is what collapsed the old slack-window protocol's
-// throughput as threads grew.
+// The clusters are ticked by a team whose width is chosen at each kernel
+// start from that kernel's active SMs. A width-1 team is the calling
+// thread stepping alone; a wider team adds helpers from the shared thread
+// pool that claim clusters from an atomic ticket. The memory tick and the
+// coordinator (clock advance, cycle-skip jumps, watchdog, kernel
+// transitions, memo record/replay, CTA dispatch) always run on the caller.
 //
 // At slack == 1 (the default) every round is one cycle and the mutation
 // schedule is exactly the serial loop's: results are bit-identical to
-// RunSimulation for any worker and cluster count. At slack > 1 memory
-// responses are delivered up to slack-1 cycles late and CTA dispatch
-// happens only at window boundaries — a bounded, documented approximation
-// bought for fewer synchronization rounds.
+// RunSimulation for any worker count. At slack > 1 memory responses are
+// delivered up to slack-1 cycles late and CTA dispatch happens only at
+// window boundaries — a bounded, documented approximation bought for fewer
+// synchronization rounds.
 #pragma once
 
 #include "config/gpu_config.h"
@@ -29,13 +26,8 @@
 namespace swiftsim {
 
 struct ParallelDetailedOptions {
-  unsigned num_threads = 0;  // 0 = hardware concurrency
+  unsigned num_threads = 0;  // team width cap; 0 = hardware concurrency
   Cycle slack = 1;           // window length in cycles; 1 = exact
-  /// SM clusters (contention domains). 0 derives the count from the thread
-  /// and SM counts: one cluster per worker, capped at the SM count. More
-  /// clusters than workers improves steal-balancing at slightly more
-  /// scheduling work per round; results are identical either way.
-  unsigned clusters = 0;
   /// Chaos scenario armed on the sharded model (DESIGN.md §11); must
   /// outlive the run. Arming one disables memo replay for the run —
   /// replayed launches would dodge injection.
@@ -43,8 +35,8 @@ struct ParallelDetailedOptions {
 };
 
 /// Runs `app` through a cycle-accurate-memory level (kSilicon, kDetailed
-/// or kSwiftSimBasic) with SMs sharded across the shared thread pool.
-/// Rejects analytical-memory levels and slack == 0.
+/// or kSwiftSimBasic) with SM clusters ticked by a team on the shared
+/// thread pool. Rejects analytical-memory levels and slack == 0.
 SimResult RunParallelDetailed(const Application& app, const GpuConfig& cfg,
                               SimLevel level,
                               const ParallelDetailedOptions& opt = {});

@@ -291,7 +291,7 @@ SimulationService::SimulationService(ServiceOptions opt) : opt_(std::move(opt)) 
 
   // Lanes are dedicated threads that only wait and drive; the worker
   // budget lives on the shared pool, where every lane's nested parallel
-  // work (trace builds, pre-passes, the task-graph driver) executes.
+  // work (trace builds, pre-passes, the parallel driver) executes.
   ThreadPool::Shared().EnsureWorkers(plan_.app_lanes * plan_.threads_per_app);
   lanes_.reserve(plan_.app_lanes);
   for (unsigned i = 0; i < plan_.app_lanes; ++i) {
@@ -490,7 +490,7 @@ void SimulationService::RunJob(PendingJob& job, Response* out) {
     SimResult res;
     if (plan_.threads_per_app > 1 && CycleAccurateMemory(job.job.level) &&
         !job.cfg.degrade.on_hang) {
-      // Spare budget inside the lane: the slack=1 task-graph driver is
+      // Spare budget inside the lane: the slack=1 parallel driver is
       // bit-identical to the serial simulator (DESIGN.md §12).
       ParallelDetailedOptions pd;
       pd.num_threads = plan_.threads_per_app;

@@ -11,7 +11,7 @@
 //     overrides;
 //   * a worker-lane fleet on the shared ThreadPool, shaped once by the
 //     two-mode PlanParallelBatch policy (DESIGN.md §12): spare budget
-//     inside lanes runs cycle-accurate jobs on the task-graph driver;
+//     inside lanes runs cycle-accurate jobs on the parallel driver;
 //   * process-global warm state — MemoCache, ProfileCache and a
 //     fingerprint-keyed built-trace cache (in-memory LRU over the on-disk
 //     compact cache) — shared by all requests, with --memo-file
@@ -29,7 +29,7 @@
 // Results are bit-identical to one-shot CLI runs of the same (workload,
 // config, SimLevel), including under coalescing and after memo-file
 // reload: replay is exact at the analytical-memory level and the
-// slack=1 task-graph driver is bit-identical to serial.
+// slack=1 parallel driver is bit-identical to serial.
 #pragma once
 
 #include <condition_variable>
@@ -242,7 +242,7 @@ class SimulationService {
   /// Lanes are dedicated threads, NOT tasks on the shared pool — a lane
   /// parked in Pop (or blocked in a nested TaskGroup::Wait) would occupy
   /// a pool worker and starve the parallelism running jobs submit to
-  /// that same pool (trace builds, the pre-pass, the task-graph driver).
+  /// that same pool (trace builds, the pre-pass, the parallel driver).
   /// The pool carries the parallel work; lanes only carry the waiting.
   void LaneLoop();
   void ProcessJob(const std::shared_ptr<PendingJob>& job);

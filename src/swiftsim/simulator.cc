@@ -18,7 +18,7 @@ Simulator::Simulator(const Application& app, const GpuConfig& cfg,
     if (cfg_.memo.enabled) {
       // Cache-geometry-equal configs and repeated constructions share one
       // profile; the fetch time (hit or build) is the run's pre-pass cost.
-      ProfileCache::Global().SetMaxEntries(cfg_.memo.max_entries);
+      ProfileCache::Global().ApplyConfigMaxEntries(cfg_.memo.max_entries);
       const ProfileCache::Fetch fetch =
           ProfileCache::Global().GetOrBuild(app, cfg_);
       profile_ = fetch.profile;

@@ -13,6 +13,7 @@
 
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -82,16 +83,17 @@ void ExpectSameRun(const SimResult& a, const SimResult& b,
   }
 }
 
-// gtest prints a parameter it cannot format as its raw bytes, and CTest
-// discovery copies that text into each case's test name. The flags lead so
-// the name starts with fixed bytes rather than the low bits of `label`'s
-// address, which address-space randomisation redraws at every discovery.
 struct PlanCase {
   bool expect_delays = false;
   bool expect_drops = false;
   const char* label;
   FaultPlan plan;
 };
+
+// CTest discovery copies gtest's printout of the parameter into each
+// case's test name. Without this, gtest prints the struct's raw bytes —
+// pointer values and padding that differ from one discovery to the next.
+void PrintTo(const PlanCase& c, std::ostream* os) { *os << c.label; }
 
 std::vector<PlanCase> SurvivablePlans() {
   std::vector<PlanCase> cases;

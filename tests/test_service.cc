@@ -144,6 +144,25 @@ TEST_F(ServiceTest, ResultsBitIdenticalToOneShotRuns) {
   }
 }
 
+TEST_F(ServiceTest, DaemonCacheCapHoldsAgainstJobConfigs) {
+  // The daemon owns the process-wide cache caps. Every job below carries
+  // the generic config, whose memo.max_entries is 0 (unbounded); none of
+  // them may lift the daemon's cap.
+  constexpr std::uint64_t kCap = 3;
+  ServiceOptions opt;
+  opt.memo_max_entries = kCap;
+  SimulationService svc(opt);
+  const char* names[] = {"BFS", "NW", "SM", "GEMM", "PAGERANK", "SSSP"};
+  for (const char* name : names) {
+    const Response r = svc.SubmitAndWait(Job(std::string("cap-") + name, name,
+                                             /*iterations=*/1));
+    ASSERT_TRUE(r.ok) << name << ": " << r.error_message;
+  }
+  const JsonValue stats = ParseJson(svc.StatsJson());
+  EXPECT_LE(stats.Find("memo_cache_entries")->AsUint(), kCap);
+  EXPECT_LE(stats.Find("profile_cache_entries")->AsUint(), kCap);
+}
+
 TEST_F(ServiceTest, MemoFileReloadStaysBitIdentical) {
   const std::string memo_file =
       (std::filesystem::temp_directory_path() /
